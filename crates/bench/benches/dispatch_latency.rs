@@ -1,20 +1,19 @@
 //! Executor dispatch microbenchmarks.
 //!
 //! * back-to-back dispatch: a serial loop driving 200 tiny parallel loops
-//!   at 8 threads, persistent pool vs the spawn-per-loop baseline — the
-//!   "sustained traffic" shape where thread-creation churn dominates the
-//!   seed executor.
+//!   at 8 threads on the persistent pool — the "sustained traffic" shape
+//!   where the dispatch machinery itself is the cost.
 //! * steal imbalance: a skewed workload (first eighth of the iterations
-//!   carry ~800x the work) under work stealing vs static chunking. Wall
-//!   time only separates the schedules on a multi-core host, so the
-//!   *modeled makespan* — the maximum per-worker instruction count, i.e.
-//!   the finish time on ideal cores — is reported alongside.
+//!   carry ~800x the work) under work stealing. Wall time only shows the
+//!   balance on a multi-core host, so the *modeled makespan* — the maximum
+//!   per-worker instruction count, i.e. the finish time on ideal cores —
+//!   is reported alongside.
 
 use dse_bench::harness;
 use dse_ir::bytecode::CompiledProgram;
 use dse_ir::loops::ParMode;
 use dse_ir::lower::{LowerMode, LowerOptions, ParLoopSpec};
-use dse_runtime::{DoallSchedule, ThreadMode, Vm, VmConfig};
+use dse_runtime::{Vm, VmConfig};
 
 const NTHREADS: u32 = 8;
 
@@ -32,9 +31,9 @@ const DISPATCH_SRC: &str = "int main() {
     return s % 256; }";
 
 /// Skewed DOALL: iterations 0..64 run an ~800x inner loop, the remaining
-/// 448 are trivial, so a static 8-way split leaves one worker with nearly
-/// all the work. The work sits in a function so its locals live on each
-/// worker's private stack.
+/// 448 are trivial, so an even 8-way split leaves one worker with nearly
+/// all the work until the others steal it. The work sits in a function so
+/// its locals live on each worker's private stack.
 const SKEW_SRC: &str = "int burn(int i) {
         int w; w = i < 64 ? 800 : 1;
         int acc; acc = 0;
@@ -71,67 +70,39 @@ fn compile_parallel(src: &str) -> CompiledProgram {
 
 /// Lean arena so `Vm::new` cost stays off the timed path (the VM is built
 /// once per case and `run` repeatedly — both programs free everything).
-fn config(backend: ThreadMode, schedule: DoallSchedule) -> VmConfig {
+fn config() -> VmConfig {
     VmConfig {
         mem_bytes: 16 << 20,
         stack_bytes: 256 << 10,
         nthreads: NTHREADS,
-        thread_mode: backend,
-        doall_schedule: schedule,
         ..Default::default()
     }
-}
-
-/// Modeled makespan of the skew loop under `schedule`: the maximum
-/// per-worker instruction count of one run (finish time on ideal cores).
-fn skew_makespan(compiled: &CompiledProgram, schedule: DoallSchedule) -> u64 {
-    let mut vm = Vm::new(compiled.clone(), config(ThreadMode::Pool, schedule)).expect("vm");
-    let report = vm.run().expect("run");
-    report.per_thread.iter().map(|c| c.work).max().unwrap_or(0)
 }
 
 fn main() {
     let group = harness::group("dispatch_latency");
 
-    // -- back-to-back dispatch: pool vs spawn-per-loop -----------------------
-    let compiled = compile_parallel(DISPATCH_SRC);
-    let mut vm_pool = Vm::new(
-        compiled.clone(),
-        config(ThreadMode::Pool, DoallSchedule::Stealing),
-    )
-    .expect("vm");
-    let pool = group.bench("back_to_back_200/pool", || {
-        vm_pool.run().expect("run");
+    // -- back-to-back dispatch ----------------------------------------------
+    let mut vm = Vm::new(compile_parallel(DISPATCH_SRC), config()).expect("vm");
+    group.bench("back_to_back_200/pool", || {
+        vm.run().expect("run");
     });
-    let mut vm_spawn = Vm::new(
-        compiled,
-        config(ThreadMode::SpawnPerLoop, DoallSchedule::Stealing),
-    )
-    .expect("vm");
-    let spawn = group.bench("back_to_back_200/spawn_per_loop", || {
-        vm_spawn.run().expect("run");
-    });
-    println!(
-        "dispatch_latency/back_to_back_200 speedup (spawn_per_loop / pool): {:.2}x",
-        spawn.as_secs_f64() / pool.as_secs_f64()
-    );
 
-    // -- steal imbalance: stealing vs static on skewed work ------------------
+    // -- steal imbalance: skewed work --------------------------------------
     let skew = compile_parallel(SKEW_SRC);
-    for (label, schedule) in [
-        ("stealing", DoallSchedule::Stealing),
-        ("static", DoallSchedule::Static),
-    ] {
-        let mut vm = Vm::new(skew.clone(), config(ThreadMode::Pool, schedule)).expect("vm");
-        group.bench(&format!("skew_512/{label}"), || {
-            vm.run().expect("run");
-        });
-    }
-    let steal_span = skew_makespan(&skew, DoallSchedule::Stealing);
-    let static_span = skew_makespan(&skew, DoallSchedule::Static);
+    let mut vm = Vm::new(skew.clone(), config()).expect("vm");
+    group.bench("skew_512/stealing", || {
+        vm.run().expect("run");
+    });
+    // Modeled makespan: the maximum per-worker instruction count of one run
+    // on a fresh VM (per-worker counters accumulate across runs), against
+    // the perfectly balanced share.
+    let report = Vm::new(skew, config()).expect("vm").run().expect("run");
+    let span = report.per_thread.iter().map(|c| c.work).max().unwrap_or(0);
+    let ideal = report.counters.work / u64::from(NTHREADS);
     println!(
-        "dispatch_latency/skew_512 modeled makespan: stealing {steal_span} vs static \
-         {static_span} instructions ({:.2}x better balanced)",
-        static_span as f64 / steal_span.max(1) as f64
+        "dispatch_latency/skew_512 modeled makespan: {span} instructions \
+         (ideal {ideal}, {:.2}x of balanced)",
+        span as f64 / ideal.max(1) as f64
     );
 }

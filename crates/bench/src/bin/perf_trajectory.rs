@@ -18,7 +18,7 @@
 use dse_ir::bytecode::CompiledProgram;
 use dse_ir::loops::ParMode;
 use dse_ir::lower::{LowerMode, LowerOptions, ParLoopSpec};
-use dse_runtime::{BackendKind, DoallSchedule, FirstFitHeap, Heap, ThreadMode, Vm, VmConfig};
+use dse_runtime::{BackendKind, Heap, Vm, VmConfig};
 use dse_telemetry::Json;
 use dse_workloads::rng::Rng;
 use dse_workloads::Scale;
@@ -88,7 +88,7 @@ const CHURN_THREADS: usize = 8;
 
 /// Mixed-size alloc/free churn with randomized free order (the
 /// fragmenting pattern of `benches/alloc_churn.rs`).
-fn churn(seed: u64, ops: usize, alloc: &(dyn Fn(u64) -> u64 + Sync), free: &(dyn Fn(u64) + Sync)) {
+fn churn(h: &Heap, seed: u64, ops: usize) {
     let mut rng = Rng::seed_from_u64(seed);
     let mut live: Vec<u64> = Vec::with_capacity(1024);
     for _ in 0..ops {
@@ -98,23 +98,15 @@ fn churn(seed: u64, ops: usize, alloc: &(dyn Fn(u64) -> u64 + Sync), free: &(dyn
             } else {
                 rng.gen_range(1, 2048) as u64
             };
-            live.push(alloc(size));
+            live.push(h.alloc(size).unwrap().base);
         } else if !live.is_empty() {
             let i = rng.gen_index(live.len());
-            free(live.swap_remove(i));
+            h.free(live.swap_remove(i)).unwrap();
         }
     }
     for base in live {
-        free(base);
+        h.free(base).unwrap();
     }
-}
-
-fn churn_mt(run: &(dyn Fn(u64, usize) + Sync)) {
-    std::thread::scope(|scope| {
-        for t in 0..CHURN_THREADS {
-            scope.spawn(move || run(0x100 + t as u64, CHURN_OPS / CHURN_THREADS));
-        }
-    });
 }
 
 // -- executor benches --------------------------------------------------------
@@ -167,24 +159,13 @@ fn compile_parallel(src: &str) -> CompiledProgram {
     dse_ir::lower_program(&ast, &opts).expect("lowering")
 }
 
-fn vm_config(backend: ThreadMode, schedule: DoallSchedule) -> VmConfig {
+fn vm_config() -> VmConfig {
     VmConfig {
         mem_bytes: 16 << 20,
         stack_bytes: 256 << 10,
         nthreads: NTHREADS,
-        thread_mode: backend,
-        doall_schedule: schedule,
         ..Default::default()
     }
-}
-
-/// Maximum per-worker instruction count of one skew-loop run: the finish
-/// time on ideal cores, which separates the schedules even on a
-/// single-core host.
-fn skew_makespan(compiled: &CompiledProgram, schedule: DoallSchedule) -> u64 {
-    let mut vm = Vm::new(compiled.clone(), vm_config(ThreadMode::Pool, schedule)).expect("vm");
-    let report = vm.run().expect("run");
-    report.per_thread.iter().map(|c| c.work).max().unwrap_or(0)
 }
 
 // -- daemon benches ----------------------------------------------------------
@@ -529,22 +510,15 @@ fn main() -> ExitCode {
     let out = args.first().map(String::as_str).unwrap_or(DEFAULT_OUT);
     let mut benches = Vec::new();
 
-    // Allocator churn, 8 contending threads: sharded heap vs first-fit.
+    // Allocator churn, 8 contending threads on the sharded heap.
     eprintln!("[1/8] alloc churn ({CHURN_THREADS} threads)...");
     let sharded = median_secs(|| {
         let h = Heap::new(0, ARENA);
-        churn_mt(&|seed, ops| {
-            churn(seed, ops, &|s| h.alloc(s).unwrap().base, &|b| {
-                h.free(b).unwrap();
-            })
-        });
-    });
-    let first_fit = median_secs(|| {
-        let h = FirstFitHeap::new(0, ARENA);
-        churn_mt(&|seed, ops| {
-            churn(seed, ops, &|s| h.alloc(s).unwrap().base, &|b| {
-                h.free(b).unwrap();
-            })
+        std::thread::scope(|scope| {
+            for t in 0..CHURN_THREADS {
+                let h = &h;
+                scope.spawn(move || churn(h, 0x100 + t as u64, CHURN_OPS / CHURN_THREADS));
+            }
         });
     });
     benches.push(BenchValue {
@@ -552,20 +526,10 @@ fn main() -> ExitCode {
         unit: "ms",
         value: sharded * 1e3,
     });
-    benches.push(BenchValue {
-        name: "alloc_churn_mt8_speedup_vs_first_fit",
-        unit: "ratio",
-        value: first_fit / sharded,
-    });
 
-    // Back-to-back dispatch latency: persistent pool vs spawn-per-loop.
+    // Back-to-back dispatch latency on the persistent pool.
     eprintln!("[2/8] dispatch latency (200 back-to-back loops, {NTHREADS} threads)...");
-    let compiled = compile_parallel(DISPATCH_SRC);
-    let mut vm_pool = Vm::new(
-        compiled.clone(),
-        vm_config(ThreadMode::Pool, DoallSchedule::Stealing),
-    )
-    .expect("vm");
+    let mut vm_pool = Vm::new(compile_parallel(DISPATCH_SRC), vm_config()).expect("vm");
     let pool_times = sample_secs(|| {
         vm_pool.run().expect("run");
     });
@@ -574,45 +538,25 @@ fn main() -> ExitCode {
     // tracing-off gate — on this single-core host, scheduler preemption
     // only ever *adds* time, so the median swings far more than the min.
     let pool_best = pool_times[0];
-    let mut vm_spawn = Vm::new(
-        compiled,
-        vm_config(ThreadMode::SpawnPerLoop, DoallSchedule::Stealing),
-    )
-    .expect("vm");
-    let spawn = median_secs(|| {
-        vm_spawn.run().expect("run");
-    });
     benches.push(BenchValue {
         name: "dispatch_200_pool_ms",
         unit: "ms",
         value: pool * 1e3,
     });
-    benches.push(BenchValue {
-        name: "dispatch_200_spawn_per_loop_ms",
-        unit: "ms",
-        value: spawn * 1e3,
-    });
-    benches.push(BenchValue {
-        name: "dispatch_speedup_pool_vs_spawn",
-        unit: "ratio",
-        value: spawn / pool,
-    });
 
-    // Steal imbalance: modeled makespan (ideal-core finish time) of the
-    // skewed workload, static / stealing.
+    // Steal imbalance: modeled makespan of the skewed workload, the
+    // maximum per-worker instruction count of one run (finish time on
+    // ideal cores, meaningful even on a single-core host).
     eprintln!("[3/8] steal imbalance (skewed DOALL, {NTHREADS} threads)...");
-    let skew = compile_parallel(SKEW_SRC);
-    let steal_span = skew_makespan(&skew, DoallSchedule::Stealing);
-    let static_span = skew_makespan(&skew, DoallSchedule::Static);
+    let report = Vm::new(compile_parallel(SKEW_SRC), vm_config())
+        .expect("vm")
+        .run()
+        .expect("run");
+    let steal_span = report.per_thread.iter().map(|c| c.work).max().unwrap_or(0);
     benches.push(BenchValue {
         name: "skew_makespan_stealing_minstr",
         unit: "Minstr",
         value: steal_span as f64 / 1e6,
-    });
-    benches.push(BenchValue {
-        name: "skew_speedup_stealing_vs_static",
-        unit: "ratio",
-        value: static_span as f64 / steal_span.max(1) as f64,
     });
 
     // The dsed daemon: cold vs warm request latency, throughput at 8
@@ -673,7 +617,7 @@ fn main() -> ExitCode {
         VmConfig {
             trace: true,
             opcode_profile: true,
-            ..vm_config(ThreadMode::Pool, DoallSchedule::Stealing)
+            ..vm_config()
         },
     )
     .expect("vm");

@@ -155,17 +155,16 @@ impl Analysis {
     ///
     /// Propagates frontend, lowering and VM errors.
     pub fn from_source(source: &str, profile_config: VmConfig) -> Result<Analysis, DseError> {
-        let (program, parse_span) = phases::parse_phase(source)?;
-        let (serial, lower_span) = phases::lower_phase(&program)?;
-        let (profile, profile_span) = phases::profile_phase(serial.clone(), profile_config)?;
-        let (classified, classify_span) = phases::classify_phase(&program, &profile);
-        Ok(phases::assemble_analysis(
-            program,
-            serial,
-            profile,
-            classified,
-            vec![parse_span, lower_span, profile_span, classify_span],
-        ))
+        // The cached pipeline over a store that lives for this call only:
+        // once the store is dropped, the analysis is the artifact's sole
+        // owner.
+        let store = ArtifactStore::new();
+        let art = Pipeline::new(&store).analyze(source, &profile_config, &mut Trace::new())?;
+        drop(store);
+        match std::sync::Arc::try_unwrap(art) {
+            Ok(art) => Ok(art.analysis),
+            Err(_) => unreachable!("the dropped store held the only other reference"),
+        }
     }
 
     /// The classification for a loop label.
@@ -195,6 +194,27 @@ impl Analysis {
         nthreads: u32,
         layout: LayoutMode,
     ) -> Result<ExpansionPlan, DseError> {
+        self.make_plan(opt, nthreads, layout, false)
+    }
+
+    /// Builds the runtime-privatization baseline plan: named variables are
+    /// privatized statically (like the expansion), heap accesses are routed
+    /// through the `__localize` runtime (SpiceC's copy-in/commit scheme).
+    ///
+    /// # Errors
+    ///
+    /// Propagates planning failures.
+    pub fn baseline_plan(&self, nthreads: u32) -> Result<ExpansionPlan, DseError> {
+        self.make_plan(OptLevel::Full, nthreads, LayoutMode::Bonded, true)
+    }
+
+    fn make_plan(
+        &self,
+        opt: OptLevel,
+        nthreads: u32,
+        layout: LayoutMode,
+        heap_localize: bool,
+    ) -> Result<ExpansionPlan, DseError> {
         let loops: Vec<_> = self
             .profile
             .loops
@@ -209,35 +229,8 @@ impl Analysis {
             alloc_sizes: &self.alloc_sizes,
             opt,
             nthreads,
-            heap_localize: false,
+            heap_localize,
             layout,
-        })?)
-    }
-
-    /// Builds the runtime-privatization baseline plan: named variables are
-    /// privatized statically (like the expansion), heap accesses are routed
-    /// through the `__localize` runtime (SpiceC's copy-in/commit scheme).
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning failures.
-    pub fn baseline_plan(&self, nthreads: u32) -> Result<ExpansionPlan, DseError> {
-        let loops: Vec<_> = self
-            .profile
-            .loops
-            .iter()
-            .zip(&self.classifications)
-            .collect();
-        Ok(build_plan(&PlanInputs {
-            program: &self.program,
-            sites: &self.serial.sites,
-            loops,
-            pt: &self.pt,
-            alloc_sizes: &self.alloc_sizes,
-            opt: OptLevel::Full,
-            nthreads,
-            heap_localize: true,
-            layout: LayoutMode::Bonded,
         })?)
     }
 
@@ -262,14 +255,8 @@ impl Analysis {
         nthreads: u32,
         layout: LayoutMode,
     ) -> Result<Transformed, DseError> {
-        let mut timer = PhaseTimer::new();
-        let plan = timer.time("plan", || self.plan_with_layout(opt, nthreads, layout))?;
-        timer.stat("nthreads", nthreads as i64);
-        let mut t = self.apply_plan(plan, opt)?;
-        let mut phases = timer.into_spans();
-        phases.append(&mut t.phases);
-        t.phases = phases;
-        Ok(t)
+        let (plan, span) = phases::plan_phase(self, opt, nthreads, layout, false)?;
+        phases::xform_phase(self, plan, span, opt, false)
     }
 
     /// The xform phase: executes an already-built expansion plan
@@ -338,8 +325,9 @@ impl Analysis {
     ///
     /// Propagates planning, transformation and lowering failures.
     pub fn baseline_parallel(&self, nthreads: u32) -> Result<Transformed, DseError> {
-        let plan = self.baseline_plan(nthreads)?;
-        self.apply_plan(plan, OptLevel::Full)
+        let (plan, span) =
+            phases::plan_phase(self, OptLevel::Full, nthreads, LayoutMode::Bonded, true)?;
+        phases::xform_phase(self, plan, span, OptLevel::Full, true)
     }
 
     /// Per-candidate-loop profile stats in telemetry form (for

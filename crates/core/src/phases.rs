@@ -1,11 +1,11 @@
 //! The pipeline split into explicit, independently cacheable phases.
 //!
-//! [`Analysis::from_source`] and [`Analysis::transform`] used to be
-//! monolithic drives; this module factors them into one function per
-//! phase — parse, lower, profile, classify, plan, xform — each returning
-//! its artifact plus a [`PhaseSpan`]. The standalone driver composes them
-//! directly (so single-process reuse is free), while [`Pipeline`] composes
-//! them through a shared [`ArtifactStore`] keyed by content hashes:
+//! One function per phase — parse, lower, profile, classify, plan, xform —
+//! each returning its artifact plus a [`PhaseSpan`]. [`Pipeline`] composes
+//! them through a shared [`ArtifactStore`] keyed by content hashes.
+//! [`Analysis::from_source`] runs that same pipeline over a store that
+//! lives for one call, and [`Analysis::transform`] runs the same plan and
+//! xform phase functions without a store:
 //!
 //! ```text
 //! parse    key = H("parse", source)
@@ -26,7 +26,7 @@
 
 use crate::cache::{ArtifactStore, Trace};
 use crate::classify::{classify_loop, LoopClassification};
-use crate::plan::{ExpansionPlan, OptLevel};
+use crate::plan::{ExpansionPlan, LayoutMode, OptLevel};
 use crate::{Analysis, DseError, Transformed};
 use dse_depprof::ProfileResult;
 use dse_ir::bytecode::CompiledProgram;
@@ -138,6 +138,54 @@ pub fn classify_phase(program: &Program, profile: &ProfileResult) -> (Classified
             .count() as i64,
     );
     (classified, timer.into_spans().remove(0))
+}
+
+/// Phase 5: the expansion plan for `opt`, `nthreads` and `layout`, or
+/// the runtime-privatization baseline's plan when `baseline` is set (the
+/// baseline is always bonded at full optimization).
+///
+/// # Errors
+///
+/// Propagates planning failures.
+pub fn plan_phase(
+    analysis: &Analysis,
+    opt: OptLevel,
+    nthreads: u32,
+    layout: LayoutMode,
+    baseline: bool,
+) -> Result<(ExpansionPlan, PhaseSpan), DseError> {
+    let mut timer = PhaseTimer::new();
+    let plan = timer.time("plan", || {
+        if baseline {
+            analysis.baseline_plan(nthreads)
+        } else {
+            analysis.plan_with_layout(opt, nthreads, layout)
+        }
+    })?;
+    timer.stat("nthreads", nthreads as i64);
+    Ok((plan, timer.into_spans().remove(0)))
+}
+
+/// Phase 6: executes a plan from [`plan_phase`] and lowers the result
+/// with parallel scheduling. The returned `phases` are the plan span
+/// followed by the xform span.
+///
+/// # Errors
+///
+/// Propagates transformation and lowering failures.
+pub fn xform_phase(
+    analysis: &Analysis,
+    plan: ExpansionPlan,
+    plan_span: PhaseSpan,
+    opt: OptLevel,
+    baseline: bool,
+) -> Result<Transformed, DseError> {
+    // The baseline plan privatizes through the `__localize` runtime
+    // regardless of `opt`; the transform itself runs at full optimization.
+    let opt = if baseline { OptLevel::Full } else { opt };
+    let mut t = analysis.apply_plan(plan, opt)?;
+    t.phases.insert(0, plan_span);
+    Ok(t)
 }
 
 /// Assembles an [`Analysis`] from the four analysis-phase artifacts.
@@ -409,43 +457,29 @@ impl<'a> Pipeline<'a> {
         baseline: bool,
         trace: &mut Trace,
     ) -> Result<Arc<TransformArt>, DseError> {
-        let opt_name = match opt {
-            OptLevel::None => "none",
-            OptLevel::NoConstSpan => "noconst",
-            OptLevel::Full => "full",
-        };
         let plan_key = ContentHasher::new("plan")
             .hash(art.key)
-            .str(opt_name)
+            .str(opt.name())
             .u64(nthreads as u64)
             .bool(baseline)
             .finish();
         let planned: Arc<PlanArt> = self.store.get_or_compute("plan", plan_key, trace, || {
-            let mut timer = PhaseTimer::new();
-            let plan = timer.time("plan", || {
-                if baseline {
-                    art.analysis.baseline_plan(nthreads)
-                } else {
-                    art.analysis.plan(opt, nthreads)
-                }
-            })?;
-            timer.stat("nthreads", nthreads as i64);
-            Ok::<_, DseError>(PlanArt {
-                plan,
-                span: timer.into_spans().remove(0),
-            })
+            let (plan, span) =
+                plan_phase(&art.analysis, opt, nthreads, LayoutMode::Bonded, baseline)?;
+            Ok::<_, DseError>(PlanArt { plan, span })
         })?;
 
-        // The baseline plan privatizes through the `__localize` runtime
-        // regardless of `opt`; the transform itself then runs at full
-        // optimization, exactly as the standalone baseline path always has.
-        let apply_opt = if baseline { OptLevel::Full } else { opt };
         let xform_key = ContentHasher::new("xform").hash(plan_key).finish();
         self.store.get_or_compute("xform", xform_key, trace, || {
-            let mut t = art.analysis.apply_plan(planned.plan.clone(), apply_opt)?;
-            t.phases.insert(0, planned.span.clone());
+            let transformed = xform_phase(
+                &art.analysis,
+                planned.plan.clone(),
+                planned.span.clone(),
+                opt,
+                baseline,
+            )?;
             Ok::<_, DseError>(TransformArt {
-                transformed: t,
+                transformed,
                 key: xform_key,
             })
         })

@@ -52,6 +52,26 @@ pub enum OptLevel {
     Full,
 }
 
+impl OptLevel {
+    /// Every level, weakest first.
+    pub const ALL: [OptLevel; 3] = [OptLevel::None, OptLevel::NoConstSpan, OptLevel::Full];
+
+    /// The level's name on the command line, on the daemon wire, and in
+    /// the plan phase's cache key.
+    pub fn name(self) -> &'static str {
+        match self {
+            OptLevel::None => "none",
+            OptLevel::NoConstSpan => "noconst",
+            OptLevel::Full => "full",
+        }
+    }
+
+    /// Parses a name written by [`OptLevel::name`].
+    pub fn parse(s: &str) -> Option<OptLevel> {
+        OptLevel::ALL.into_iter().find(|o| o.name() == s)
+    }
+}
+
 /// The per-site classification outcome, merged across parallelized loops
 /// and keyed by AST expression id.
 #[derive(Debug, Clone, Default)]
@@ -812,4 +832,20 @@ fn base_pointer_types_of_sites(program: &Program, eids: &HashSet<u32>) -> HashSe
         });
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn opt_level_names_round_trip() {
+        for opt in OptLevel::ALL {
+            assert_eq!(OptLevel::parse(opt.name()), Some(opt));
+        }
+        let names: Vec<_> = OptLevel::ALL.iter().map(|o| o.name()).collect();
+        assert_eq!(names, ["none", "noconst", "full"], "cache keys hash these");
+        assert_eq!(OptLevel::parse("Full"), None);
+        assert_eq!(OptLevel::parse(""), None);
+    }
 }

@@ -36,27 +36,6 @@ use dse_ir::loops::ParMode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// How DOALL iterations are divided among workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DoallSchedule {
-    /// Chunked dynamic scheduling with work stealing (the default).
-    Stealing,
-    /// One fixed contiguous chunk per worker (the seed behavior, kept as
-    /// the imbalance baseline for `dse-bench`).
-    Static,
-}
-
-/// How parallel loops acquire their worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadMode {
-    /// Persistent pool: threads spawned once per run, parked between
-    /// loops (the default).
-    Pool,
-    /// Fresh scoped threads for every loop (the seed behavior, kept as
-    /// the dispatch-latency baseline for `dse-bench`).
-    SpawnPerLoop,
-}
-
 /// Pool counters, snapshotted into `RunReport::pool`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
@@ -66,7 +45,7 @@ pub struct PoolStats {
     pub workers: u64,
     /// Loop dispatches handed to the pool.
     pub dispatches: u64,
-    /// Successful steals of a victim's back half (DOALL stealing mode).
+    /// Successful steals of a victim's back half (DOALL loops).
     pub steals: u64,
     /// Times a worker blocked on the dispatch condvar (re-checks after a
     /// spurious wakeup count again).
@@ -84,8 +63,8 @@ pub(crate) struct PoolCounters {
     pub(crate) wakeups: AtomicU64,
 }
 
-/// One parallel loop's worth of work, published to the pool (and to the
-/// scoped-spawn baseline) as a single shared descriptor.
+/// One parallel loop's worth of work, published to the pool as a single
+/// shared descriptor.
 #[derive(Debug)]
 pub(crate) struct LoopDispatch {
     /// Candidate loop id.
@@ -94,18 +73,16 @@ pub(crate) struct LoopDispatch {
     pub mode: ParMode,
     /// Entry pc of the outlined body region.
     pub body: u32,
-    /// Iteration range `lo..hi`.
-    pub lo: i64,
+    /// End of the iteration range (DOACROSS claims stop here; DOALL ranges
+    /// live in `queues`).
     pub hi: i64,
     /// The master's frame base, shared by all workers.
     pub frame_base: u64,
     /// DOALL owner-claim granularity (iterations per `pop_front`).
     pub chunk: i64,
-    /// DOALL schedule for this dispatch.
-    pub schedule: DoallSchedule,
     /// Cross-iteration synchronization (shared counter, done fence, abort).
     pub sync: Arc<LoopSync>,
-    /// Per-worker chunk queues (empty unless DOALL + stealing).
+    /// Per-worker chunk queues (empty for DOACROSS).
     pub queues: Vec<StealQueue>,
     /// First real error of any worker (abort-induced errors lose).
     pub err: Mutex<Option<VmError>>,
@@ -129,9 +106,9 @@ impl StealQueue {
         }
     }
 
-    /// Splits `lo..hi` into one contiguous initial range per worker (the
-    /// same split static scheduling uses, so balanced loads keep their
-    /// locality and stealing only kicks in under imbalance).
+    /// Splits `lo..hi` into one contiguous initial range per worker, so
+    /// balanced loads keep their locality and stealing only kicks in under
+    /// imbalance.
     pub(crate) fn split(lo: i64, hi: i64, nworkers: u32) -> Vec<StealQueue> {
         let n = nworkers as i64;
         let per = (hi - lo + n - 1) / n;
@@ -350,17 +327,19 @@ pub(crate) fn worker_entry(vm: &crate::vm::Vm, wid: u32, mut seen_epoch: u64) {
         };
         pool.counters.wakeups.fetch_add(1, Ordering::Relaxed);
         if let Some(sink) = sink {
+            // Every wake is preceded by its park span. A worker that found
+            // the job already published did not block: its span has zero
+            // length, so the trace still shows one park per dispatch.
             let now = sink.now_ns();
-            if let Some(t0) = park_t0 {
-                sink.push(TraceEvent {
-                    ts_ns: t0,
-                    dur_ns: now.saturating_sub(t0),
-                    a: 0,
-                    b: 0,
-                    tid: wid,
-                    kind: EventKind::Park,
-                });
-            }
+            let t0 = park_t0.unwrap_or(now);
+            sink.push(TraceEvent {
+                ts_ns: t0,
+                dur_ns: now.saturating_sub(t0),
+                a: 0,
+                b: 0,
+                tid: wid,
+                kind: EventKind::Park,
+            });
             sink.push(TraceEvent {
                 ts_ns: now,
                 dur_ns: 0,

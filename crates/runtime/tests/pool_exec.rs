@@ -1,12 +1,12 @@
 //! Executor-pool tests: iteration coverage under the work-stealing
-//! scheduler (awkward ranges, both loop modes, both backends), pool
+//! scheduler (awkward ranges, both loop modes, several pool sizes), pool
 //! lifecycle across back-to-back dispatches, nested-loop inlining, and
 //! abort recovery.
 
 use dse_ir::bytecode::CompiledProgram;
 use dse_ir::loops::ParMode;
 use dse_ir::lower::{LowerMode, LowerOptions, ParLoopSpec};
-use dse_runtime::{DoallSchedule, RunReport, ThreadMode, Value, Vm, VmConfig};
+use dse_runtime::{RunReport, Value, Vm, VmConfig};
 
 /// Compiles `src` with every candidate loop parallelized in `mode`.
 fn compile_parallel(src: &str, mode: ParMode) -> CompiledProgram {
@@ -57,38 +57,39 @@ fn coverage_src(iters: i64) -> String {
 }
 
 /// Every iteration of awkward ranges executes exactly once, for DOALL
-/// (stealing and static) and DOACROSS, on the pool and on the
-/// spawn-per-loop baseline. Ranges: empty, single, fewer iterations than
-/// workers (7 on 8 threads), `hi - lo` below one chunk, and a round count.
+/// (work stealing) and DOACROSS, on pools of 2, 3, 4 and 8 threads.
+/// Ranges: empty, single, fewer iterations than workers (7 on 8 threads),
+/// `hi - lo` below one chunk, and a round count.
 #[test]
 fn awkward_ranges_execute_exactly_once() {
-    let cases: &[(ParMode, DoallSchedule)] = &[
-        (ParMode::DoAll, DoallSchedule::Stealing),
-        (ParMode::DoAll, DoallSchedule::Static),
-        (ParMode::DoAcross, DoallSchedule::Stealing),
-    ];
     for &iters in &[0i64, 1, 3, 7, 13, 100] {
         let src = coverage_src(iters);
-        for &(mode, schedule) in cases {
+        for mode in [ParMode::DoAll, ParMode::DoAcross] {
             let compiled = compile_parallel(&src, mode);
-            for backend in [ThreadMode::Pool, ThreadMode::SpawnPerLoop] {
+            for nthreads in [2, 3, 4, 8] {
                 let (bad, report) = run_compiled(
                     compiled.clone(),
                     VmConfig {
-                        nthreads: 8,
-                        thread_mode: backend,
-                        doall_schedule: schedule,
+                        nthreads,
                         ..Default::default()
                     },
                 );
                 assert_eq!(
                     bad, 0,
-                    "coverage violated: {iters} iters, {mode:?}/{schedule:?}/{backend:?}"
+                    "coverage violated: {iters} iters, {mode:?} on {nthreads} threads"
                 );
-                if backend == ThreadMode::SpawnPerLoop {
-                    assert_eq!(report.pool.workers, 0, "baseline backend has no pool");
-                    assert_eq!(report.pool.dispatches, 0);
-                }
+                assert_eq!(
+                    report.pool.workers,
+                    u64::from(nthreads - 1),
+                    "every run is pool-backed: {:?}",
+                    report.pool
+                );
+                assert_eq!(
+                    report.pool.dispatches,
+                    u64::from(iters > 0),
+                    "a non-empty loop is one dispatch: {:?}",
+                    report.pool
+                );
             }
         }
     }
@@ -221,9 +222,9 @@ fn trapping_worker_aborts_peers_and_pool_stays_usable() {
 }
 
 /// A skewed workload (early iterations vastly more expensive) produces the
-/// same result under work stealing as under static chunking.
+/// serial result under work stealing.
 #[test]
-fn stealing_matches_static_on_skewed_work() {
+fn stealing_matches_serial_on_skewed_work() {
     // The skewed work runs in a function so its locals live in a frame on
     // each worker's private stack (loop-body scalars sit in the shared
     // enclosing frame until the expansion pass privatizes them).
@@ -241,23 +242,21 @@ fn stealing_matches_static_on_skewed_work() {
         for (int i = 0; i < 256; i++) { s += a[i]; }
         free(a);
         return s % 100000; }";
-    let serial = {
-        let compiled = compile_parallel(src, ParMode::DoAll);
-        run_compiled(compiled, VmConfig::default()).0
-    };
-    let mut results = Vec::new();
-    for schedule in [DoallSchedule::Stealing, DoallSchedule::Static] {
-        let compiled = compile_parallel(src, ParMode::DoAll);
-        let (v, _) = run_compiled(
-            compiled,
-            VmConfig {
-                nthreads: 8,
-                doall_schedule: schedule,
-                ..Default::default()
-            },
-        );
-        results.push(v);
-    }
-    assert_eq!(results[0], serial, "stealing matches serial");
-    assert_eq!(results[1], serial, "static matches serial");
+    let compiled = compile_parallel(src, ParMode::DoAll);
+    let serial = run_compiled(
+        compiled.clone(),
+        VmConfig {
+            nthreads: 1,
+            ..Default::default()
+        },
+    )
+    .0;
+    let (stealing, _) = run_compiled(
+        compiled,
+        VmConfig {
+            nthreads: 8,
+            ..Default::default()
+        },
+    );
+    assert_eq!(stealing, serial, "stealing matches serial");
 }

@@ -1092,3 +1092,17 @@ fn tid_and_nthreads_outside_parallel() {
     .unwrap();
     assert_eq!(vm.run().unwrap().return_value, Some(Value::I(6)));
 }
+
+#[test]
+fn zero_threads_is_a_build_error() {
+    let ast = dse_lang::compile_to_ast("int main() { return 0; }").unwrap();
+    let compiled = dse_ir::lower_program(&ast, &LowerOptions::default()).unwrap();
+    let config = VmConfig {
+        nthreads: 0,
+        ..Default::default()
+    };
+    let e = Vm::new(compiled, config)
+        .err()
+        .expect("zero threads is refused");
+    assert!(e.msg.contains("nthreads"), "{e}");
+}

@@ -126,7 +126,7 @@ impl Request {
             pairs.push(("path", Json::Str(p.clone())));
         }
         pairs.push(("threads", Json::Int(self.threads as i64)));
-        pairs.push(("opt", Json::Str(opt_name(self.opt).into())));
+        pairs.push(("opt", Json::Str(self.opt.name().into())));
         pairs.push(("baseline", Json::Bool(self.baseline)));
         pairs.push(("serial", Json::Bool(self.serial)));
         pairs.push(("strict", Json::Bool(self.strict)));
@@ -151,10 +151,14 @@ impl Request {
         r.source = j.get("source").and_then(Json::as_str).map(str::to_string);
         r.path = j.get("path").and_then(Json::as_str).map(str::to_string);
         if let Some(t) = j.get("threads").and_then(Json::as_i64) {
-            r.threads = u32::try_from(t).map_err(|_| "bad `threads`".to_string())?;
+            // Zero threads would reach the VM as an unrunnable config.
+            r.threads = u32::try_from(t)
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| "bad `threads`".to_string())?;
         }
         if let Some(o) = j.get("opt").and_then(Json::as_str) {
-            r.opt = parse_opt(o).ok_or_else(|| format!("unknown opt `{o}`"))?;
+            r.opt = OptLevel::parse(o).ok_or_else(|| format!("unknown opt `{o}`"))?;
         }
         r.baseline = j.get("baseline").and_then(Json::as_bool).unwrap_or(false);
         r.serial = j.get("serial").and_then(Json::as_bool).unwrap_or(false);
@@ -376,25 +380,6 @@ impl Response {
     }
 }
 
-/// Wire name of an optimization level.
-pub fn opt_name(opt: OptLevel) -> &'static str {
-    match opt {
-        OptLevel::None => "none",
-        OptLevel::NoConstSpan => "noconst",
-        OptLevel::Full => "full",
-    }
-}
-
-/// Parses an optimization-level wire name.
-pub fn parse_opt(s: &str) -> Option<OptLevel> {
-    match s {
-        "none" => Some(OptLevel::None),
-        "noconst" => Some(OptLevel::NoConstSpan),
-        "full" => Some(OptLevel::Full),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,6 +419,21 @@ mod tests {
         assert!(Request::from_json(&missing).is_err());
         let unknown = Json::parse(r#"{"cmd":"reboot"}"#).unwrap();
         assert!(Request::from_json(&unknown).is_err());
+    }
+
+    #[test]
+    fn zero_threads_is_a_bad_request() {
+        for threads in ["0", "-1"] {
+            let j = Json::parse(&format!(
+                r#"{{"cmd":"run","source":"x","threads":{threads}}}"#
+            ))
+            .unwrap();
+            assert_eq!(
+                Request::from_json(&j).err().as_deref(),
+                Some("bad `threads`"),
+                "threads {threads}"
+            );
+        }
     }
 
     #[test]

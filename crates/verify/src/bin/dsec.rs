@@ -3,14 +3,16 @@
 //! ```text
 //! dsec <program.cee> [--threads N] [--opt none|noconst|full] [--baseline]
 //!      [--emit source|report|ddg|bytecode|trace|chrome-trace|flamegraph]
-//!      [--run] [--serial] [--timing] [--metrics <path|->]
-//!      [--in <ints,comma,separated>] [--daemon <socket>]
-//! dsec check <program.cee> [--strict] [--json] [--backend] [--threads N]
-//!      [--opt none|noconst|full] [--in <ints,comma,separated>]
-//!      [--daemon <socket>]
+//!      [--run] [--serial] [--exec-backend stack|reg] [--strict] [--timing]
+//!      [--metrics <path|->] [--in 1,2,3] [--daemon <socket>]
+//! dsec check <program.cee> [--threads N] [--opt none|noconst|full]
+//!      [--strict] [--json] [--backend] [--in 1,2,3] [--daemon <socket>]
 //! dsec profile <program.cee> [--threads N] [--opt none|noconst|full]
-//!      [--in <ints,comma,separated>]
+//!      [--exec-backend stack|reg] [--in 1,2,3]
 //! ```
+//!
+//! All three subcommands parse their flags from one table, which also
+//! generates the usage text; `--threads` must be at least 1.
 //!
 //! Examples:
 //!
@@ -72,6 +74,7 @@ use dse_core::{Analysis, ArtifactStore, OptLevel, Pipeline, Trace, TransformArt}
 use dse_runtime::{BackendKind, Vm, VmConfig};
 use dse_telemetry::{Json, LintStats, RunMetrics, TraceObserver};
 use dse_verify::diag::Severity;
+use dse_verify::sabotage;
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -81,132 +84,208 @@ const EXIT_DIAG: u8 = 1;
 /// Bad command line, unreadable input, unwritable output.
 const EXIT_USAGE: u8 = 2;
 
+/// The subcommands; each accepts its own subset of [`FLAGS`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Cmd {
+    /// `dsec <program.cee>`: transform, emit and run.
+    Drive,
+    /// `dsec check <program.cee>`: the verifier.
+    Check,
+    /// `dsec profile <program.cee>`: the opcode profiler.
+    Profile,
+}
+
+impl Cmd {
+    const ALL: &'static [Cmd] = &[Cmd::Drive, Cmd::Check, Cmd::Profile];
+
+    /// The words between `dsec` and the program path.
+    fn prefix(self) -> &'static str {
+        match self {
+            Cmd::Drive => "",
+            Cmd::Check => "check ",
+            Cmd::Profile => "profile ",
+        }
+    }
+}
+
+/// The parsed command line of any subcommand (fields a subcommand does
+/// not accept keep their defaults).
 struct Opts {
     path: String,
     threads: u32,
     opt: OptLevel,
+    inputs: Vec<i64>,
+    daemon: Option<String>,
+    /// `--exec-backend`, when given; each subcommand picks its own default.
+    exec_backend: Option<BackendKind>,
+    strict: bool,
     baseline: bool,
     emit: Vec<String>,
     run: bool,
     serial: bool,
     timing: bool,
     metrics: Option<String>,
-    inputs: Vec<i64>,
-    daemon: Option<String>,
-    backend: BackendKind,
-    strict: bool,
+    json: bool,
+    /// `check --backend`: also verify both executable encodings.
+    verify_backend: bool,
+    sabotage: Option<sabotage::Kind>,
+}
+
+/// The artifacts `--emit` can print.
+const EMIT_KINDS: &str = "source|report|ddg|bytecode|trace|chrome-trace|flamegraph";
+
+/// Every flag as `(name, value placeholder, subcommands that accept it)`;
+/// a switch has no placeholder. The parser and the usage text both read
+/// this table, and [`Opts::set`] gives each flag its meaning.
+const FLAGS: &[(&str, Option<&str>, &[Cmd])] = &[
+    ("--threads", Some("N"), Cmd::ALL),
+    ("--opt", Some("none|noconst|full"), Cmd::ALL),
+    ("--baseline", None, &[Cmd::Drive]),
+    ("--emit", Some(EMIT_KINDS), &[Cmd::Drive]),
+    ("--run", None, &[Cmd::Drive]),
+    ("--serial", None, &[Cmd::Drive]),
+    (
+        "--exec-backend",
+        Some("stack|reg"),
+        &[Cmd::Drive, Cmd::Profile],
+    ),
+    ("--strict", None, &[Cmd::Drive, Cmd::Check]),
+    ("--json", None, &[Cmd::Check]),
+    ("--backend", None, &[Cmd::Check]),
+    ("--sabotage", Some("KIND"), &[Cmd::Check]),
+    ("--timing", None, &[Cmd::Drive]),
+    ("--metrics", Some("<path|->"), &[Cmd::Drive]),
+    ("--in", Some("1,2,3"), Cmd::ALL),
+    ("--daemon", Some("<socket>"), &[Cmd::Drive, Cmd::Check]),
+];
+
+/// Accepted but left out of the usage text: seeds one known miscompile
+/// before verifying, so CI's mutation-smoke step can prove the checkers
+/// fire.
+const UNDOCUMENTED: &str = "--sabotage";
+
+impl Opts {
+    /// Stores one flag from [`FLAGS`] (a switch gets an empty value). An
+    /// error is a malformed value.
+    fn set(&mut self, flag: &str, v: &str) -> Result<(), String> {
+        match flag {
+            "--threads" => {
+                self.threads = v
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| format!("--threads wants a positive integer, got `{v}`"))?
+            }
+            "--opt" => {
+                self.opt = OptLevel::parse(v).ok_or_else(|| format!("unknown --opt `{v}`"))?
+            }
+            "--baseline" => self.baseline = true,
+            "--emit" => {
+                if !EMIT_KINDS.split('|').any(|k| k == v) {
+                    return Err(format!("unknown --emit `{v}`"));
+                }
+                // A repeated value would just print the same artifact twice.
+                if !self.emit.iter().any(|e| e == v) {
+                    self.emit.push(v.to_string());
+                }
+            }
+            "--run" => self.run = true,
+            "--serial" => self.serial = true,
+            "--exec-backend" => {
+                let b = BackendKind::parse(v);
+                self.exec_backend = Some(b.ok_or_else(|| format!("unknown --exec-backend `{v}`"))?)
+            }
+            "--strict" => self.strict = true,
+            "--json" => self.json = true,
+            "--backend" => self.verify_backend = true,
+            "--sabotage" => {
+                let k = sabotage::Kind::parse(v);
+                self.sabotage = Some(k.ok_or_else(|| format!("unknown --sabotage kind `{v}`"))?)
+            }
+            "--timing" => self.timing = true,
+            "--metrics" => self.metrics = Some(v.to_string()),
+            "--in" => {
+                self.inputs = v
+                    .split(',')
+                    .filter(|s| !s.is_empty())
+                    .map(|s| s.trim().parse())
+                    .collect::<Result<_, _>>()
+                    .map_err(|_| format!("--in wants comma-separated integers, got `{v}`"))?
+            }
+            "--daemon" => self.daemon = Some(v.to_string()),
+            other => unreachable!("{other} is missing from Opts::set"),
+        }
+        Ok(())
+    }
 }
 
 /// A drive failure, split by which exit code it maps to.
 enum Fail {
-    /// File system problem: exit 2.
-    Io(String),
+    /// Usage or file system problem: exit 2.
+    Usage(String),
     /// Compile or runtime problem: exit 1.
     Other(String),
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: dsec <program.cee> [--threads N] [--opt none|noconst|full] \
-         [--baseline] [--emit source|report|ddg|bytecode|trace|chrome-trace|flamegraph] \
-         [--run] [--serial] [--exec-backend stack|reg] [--strict] \
-         [--timing] [--metrics <path|->] [--in 1,2,3] [--daemon <socket>]\n\
-         \x20      dsec check <program.cee> [--strict] [--json] [--backend] [--threads N] \
-         [--opt none|noconst|full] [--in 1,2,3] [--daemon <socket>]\n\
-         \x20      dsec profile <program.cee> [--threads N] \
-         [--opt none|noconst|full] [--in 1,2,3]"
-    );
+    let lines: Vec<String> = Cmd::ALL
+        .iter()
+        .map(|&cmd| {
+            let mut line = format!("dsec {}<program.cee>", cmd.prefix());
+            for &(name, value, cmds) in FLAGS {
+                if name == UNDOCUMENTED || !cmds.contains(&cmd) {
+                    continue;
+                }
+                match value {
+                    Some(v) => line.push_str(&format!(" [{name} {v}]")),
+                    None => line.push_str(&format!(" [{name}]")),
+                }
+            }
+            line
+        })
+        .collect();
+    eprintln!("usage: {}", lines.join("\n       "));
     std::process::exit(EXIT_USAGE as i32)
 }
 
-fn parse_opt_level(s: Option<&str>) -> OptLevel {
-    match s {
-        Some("none") => OptLevel::None,
-        Some("noconst") => OptLevel::NoConstSpan,
-        Some("full") => OptLevel::Full,
-        _ => usage(),
-    }
-}
-
-fn opt_name(opt: OptLevel) -> &'static str {
-    match opt {
-        OptLevel::None => "none",
-        OptLevel::NoConstSpan => "noconst",
-        OptLevel::Full => "full",
-    }
-}
-
-fn parse_inputs(list: &str) -> Vec<i64> {
-    list.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-        .collect()
-}
-
-fn parse_opts(args: &[String]) -> Opts {
+/// Parses the arguments after the subcommand word: exits 2 with the usage
+/// text on an unknown flag, a missing value or a missing program path, and
+/// with a message on a malformed value.
+fn parse_opts(cmd: Cmd, args: &[String]) -> Opts {
     let mut o = Opts {
         path: String::new(),
         threads: 4,
         opt: OptLevel::Full,
+        inputs: Vec::new(),
+        daemon: None,
+        exec_backend: None,
+        strict: false,
         baseline: false,
         emit: Vec::new(),
         run: false,
         serial: false,
         timing: false,
         metrics: None,
-        inputs: Vec::new(),
-        daemon: None,
-        // `--exec-backend` overrides; otherwise DSE_EXEC_BACKEND decides.
-        backend: BackendKind::from_env(),
-        strict: false,
+        json: false,
+        verify_backend: false,
+        sabotage: None,
     };
     let mut args = args.iter();
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--threads" => {
-                o.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
+        let Some(&(name, value, _)) = FLAGS.iter().find(|f| f.0 == a && f.2.contains(&cmd)) else {
+            if o.path.is_empty() && !a.starts_with('-') {
+                o.path = a.clone();
+                continue;
             }
-            "--opt" => o.opt = parse_opt_level(args.next().map(String::as_str)),
-            "--baseline" => o.baseline = true,
-            "--emit" => {
-                let what = args.next().unwrap_or_else(|| usage()).clone();
-                if !matches!(
-                    what.as_str(),
-                    "source"
-                        | "report"
-                        | "ddg"
-                        | "bytecode"
-                        | "trace"
-                        | "chrome-trace"
-                        | "flamegraph"
-                ) {
-                    eprintln!("dsec: unknown --emit `{what}`");
-                    std::process::exit(EXIT_USAGE as i32);
-                }
-                // A repeated value would just print the same artifact twice.
-                if !o.emit.contains(&what) {
-                    o.emit.push(what);
-                }
-            }
-            "--run" => o.run = true,
-            "--serial" => o.serial = true,
-            "--strict" => o.strict = true,
-            "--timing" => o.timing = true,
-            "--metrics" => o.metrics = Some(args.next().unwrap_or_else(|| usage()).clone()),
-            "--in" => o.inputs = parse_inputs(args.next().unwrap_or_else(|| usage())),
-            "--exec-backend" => {
-                o.backend = args
-                    .next()
-                    .and_then(|s| BackendKind::parse(s))
-                    .unwrap_or_else(|| usage())
-            }
-            "--daemon" => o.daemon = Some(args.next().unwrap_or_else(|| usage()).clone()),
-            "--help" | "-h" => usage(),
-            other if o.path.is_empty() && !other.starts_with('-') => o.path = other.to_string(),
-            _ => usage(),
+            usage();
+        };
+        let v = match value {
+            Some(_) => args.next().unwrap_or_else(|| usage()),
+            None => "",
+        };
+        if let Err(msg) = o.set(name, v) {
+            eprintln!("dsec: {msg}");
+            std::process::exit(EXIT_USAGE as i32);
         }
     }
     if o.path.is_empty() {
@@ -217,20 +296,21 @@ fn parse_opts(args: &[String]) -> Opts {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("check") {
-        return check_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("profile") {
-        return profile_main(&args[1..]);
-    }
-    let o = parse_opts(&args);
-    let result = match &o.daemon {
-        Some(sock) => daemon_drive(&o, sock),
-        None => drive(&o),
+    let (cmd, rest) = match args.first().map(String::as_str) {
+        Some("check") => (Cmd::Check, &args[1..]),
+        Some("profile") => (Cmd::Profile, &args[1..]),
+        _ => (Cmd::Drive, &args[..]),
+    };
+    let o = parse_opts(cmd, rest);
+    let result = match (cmd, &o.daemon) {
+        (Cmd::Drive, Some(sock)) => daemon_drive(&o, sock),
+        (Cmd::Drive, None) => drive(&o),
+        (Cmd::Check, _) => check(&o),
+        (Cmd::Profile, _) => profile(&o),
     };
     match result {
         Ok(code) => code,
-        Err(Fail::Io(msg)) => {
+        Err(Fail::Usage(msg)) => {
             eprintln!("dsec: {msg}");
             ExitCode::from(EXIT_USAGE)
         }
@@ -241,122 +321,59 @@ fn main() -> ExitCode {
     }
 }
 
+fn read_source(path: &str) -> Result<String, Fail> {
+    std::fs::read_to_string(path).map_err(|e| Fail::Usage(format!("{path}: {e}")))
+}
+
 /// `dsec check <file>`: run the verifier and print the report.
-fn check_main(args: &[String]) -> ExitCode {
-    let mut path = String::new();
-    let mut strict = false;
-    let mut json = false;
-    let mut backend = false;
-    let mut sabotage: Option<dse_verify::sabotage::Kind> = None;
-    let mut threads: u32 = 4;
-    let mut opt = OptLevel::Full;
-    let mut inputs: Vec<i64> = Vec::new();
-    let mut daemon: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--strict" => strict = true,
-            "--json" => json = true,
-            "--backend" => backend = true,
-            // Undocumented: seed one known miscompile before verifying, so
-            // CI's mutation-smoke step can prove the checkers fire.
-            "--sabotage" => {
-                let kind = it.next().unwrap_or_else(|| usage());
-                sabotage = Some(dse_verify::sabotage::Kind::parse(kind).unwrap_or_else(|| {
-                    eprintln!("dsec: unknown --sabotage kind `{kind}`");
-                    std::process::exit(EXIT_USAGE as i32)
-                }));
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--opt" => opt = parse_opt_level(it.next().map(String::as_str)),
-            "--in" => inputs = parse_inputs(it.next().unwrap_or_else(|| usage())),
-            "--daemon" => daemon = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--help" | "-h" => usage(),
-            other if path.is_empty() && !other.starts_with('-') => path = other.to_string(),
-            _ => usage(),
-        }
+fn check(o: &Opts) -> Result<ExitCode, Fail> {
+    if o.sabotage.is_some() && !o.verify_backend {
+        return Err(Fail::Usage("--sabotage requires --backend".into()));
     }
-    if path.is_empty() {
-        usage();
-    }
-    if sabotage.is_some() && !backend {
-        eprintln!("dsec: --sabotage requires --backend");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    if backend && daemon.is_some() {
-        eprintln!(
-            "dsec: --backend runs standalone; the daemon verifies translations \
+    if o.verify_backend && o.daemon.is_some() {
+        return Err(Fail::Usage(
+            "--backend runs standalone; the daemon verifies translations \
              automatically on every register-backend run"
-        );
-        return ExitCode::from(EXIT_USAGE);
+                .into(),
+        ));
     }
-    let source = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("dsec: {path}: {e}");
-            return ExitCode::from(EXIT_USAGE);
+    let source = read_source(&o.path)?;
+    if let Some(sock) = &o.daemon {
+        let req = daemon_json(
+            "dsec-check",
+            "check",
+            o,
+            source,
+            vec![("strict", Json::Bool(o.strict))],
+        );
+        let resp = daemon_request(sock, &req)?;
+        // `check` renders the report on stdout like the standalone path;
+        // failures already carry exit 1 in the response.
+        for d in diagnostics_of(&resp) {
+            println!("{d}");
         }
-    };
-    if let Some(sock) = daemon {
-        let req = Json::obj(vec![
-            ("id", Json::Str("dsec-check".into())),
-            ("cmd", Json::Str("check".into())),
-            ("source", Json::Str(source)),
-            ("threads", Json::Int(threads as i64)),
-            ("opt", Json::Str(opt_name(opt).into())),
-            ("strict", Json::Bool(strict)),
-            (
-                "in",
-                Json::Arr(inputs.iter().map(|&n| Json::Int(n)).collect()),
-            ),
-        ]);
-        return match daemon_request(&sock, &req) {
-            Ok(resp) => {
-                // `check` renders the report on stdout like the standalone
-                // path; failures already carry exit 1 in the response.
-                for d in diagnostics_of(&resp) {
-                    println!("{d}");
-                }
-                exit_of(&resp)
-            }
-            Err(Fail::Io(msg)) => {
-                eprintln!("dsec: {msg}");
-                ExitCode::from(EXIT_USAGE)
-            }
-            Err(Fail::Other(msg)) => {
-                eprintln!("dsec: {msg}");
-                ExitCode::from(EXIT_DIAG)
-            }
-        };
+        return Ok(exit_of(&resp));
     }
     let cfg = VmConfig {
-        inputs_int: inputs,
+        inputs_int: o.inputs.clone(),
         ..Default::default()
     };
     let store = ArtifactStore::new();
     let pipeline = Pipeline::new(&store);
     let mut trace = Trace::new();
-    let art = match pipeline.analyze(&source, &cfg, &mut trace) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("dsec: {e}");
-            return ExitCode::from(EXIT_DIAG);
-        }
-    };
+    let art = pipeline
+        .analyze(&source, &cfg, &mut trace)
+        .map_err(|e| Fail::Other(e.to_string()))?;
     // Pass 2 checks the transform's output, so the check transforms too.
     // A transform failure still reports pass 1 before failing.
-    let transformed = pipeline.transform(&art, opt, threads, false, &mut trace);
+    let transformed = pipeline.transform(&art, o.opt, o.threads, false, &mut trace);
     let mut report = match &transformed {
         Ok(t) => (*dse_verify::check_cached(&store, &art.analysis, t, &mut trace)).clone(),
         Err(_) => dse_verify::check_all(&art.analysis, None),
     };
-    if backend {
-        match sabotage {
+    let reg_failed = |e: dse_core::DseError| Fail::Other(format!("register lowering failed: {e}"));
+    if o.verify_backend {
+        match o.sabotage {
             None => {
                 // Verify both executable encodings of both programs, through
                 // the cached `regverify` phase like the implicit run gate.
@@ -365,64 +382,49 @@ fn check_main(args: &[String]) -> ExitCode {
                     progs.push(t.transformed.parallel.clone());
                 }
                 for prog in &progs {
-                    match pipeline.reglower(prog, &mut trace) {
-                        Ok(regart) => report.extend(
-                            (*dse_verify::check_backend_cached(&store, prog, &regart, &mut trace))
-                                .clone(),
-                        ),
-                        Err(e) => {
-                            eprintln!("dsec: register lowering failed: {e}");
-                            return ExitCode::from(EXIT_DIAG);
-                        }
-                    }
+                    let regart = pipeline.reglower(prog, &mut trace).map_err(reg_failed)?;
+                    report.extend(
+                        (*dse_verify::check_backend_cached(&store, prog, &regart, &mut trace))
+                            .clone(),
+                    );
                 }
             }
             Some(kind) => {
                 let prog = art.analysis.serial.clone();
                 let sab = if kind.is_stack() {
                     let mut p = prog.clone();
-                    let hit = dse_verify::sabotage::sabotage_stack(&mut p, kind);
+                    let hit = sabotage::sabotage_stack(&mut p, kind);
                     hit.then(|| dse_verify::check_stack(&p))
                 } else {
-                    match dse_ir::regcode::translate(&prog) {
-                        Ok(mut rp) => {
-                            let hit = dse_verify::sabotage::sabotage_reg(&prog, &mut rp, kind);
-                            hit.then(|| dse_verify::check_backend(&prog, &rp))
-                        }
-                        Err(e) => {
-                            eprintln!("dsec: register lowering failed: {e}");
-                            return ExitCode::from(EXIT_DIAG);
-                        }
-                    }
+                    let mut rp =
+                        dse_ir::regcode::translate(&prog).map_err(|e| reg_failed(e.into()))?;
+                    let hit = sabotage::sabotage_reg(&prog, &mut rp, kind);
+                    hit.then(|| dse_verify::check_backend(&prog, &rp))
                 };
-                match sab {
-                    Some(r) => report.extend(r),
-                    None => {
-                        eprintln!(
-                            "dsec: program offers no site for sabotage `{}`",
-                            kind.name()
-                        );
-                        return ExitCode::from(EXIT_USAGE);
-                    }
-                }
+                let Some(r) = sab else {
+                    return Err(Fail::Usage(format!(
+                        "program offers no site for sabotage `{}`",
+                        kind.name()
+                    )));
+                };
+                report.extend(r);
             }
         }
         report.sort();
     }
-    if json {
+    if o.json {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render_text());
     }
     if let Err(e) = &transformed {
-        eprintln!("dsec: transform failed: {e}");
-        return ExitCode::from(EXIT_DIAG);
+        return Err(Fail::Other(format!("transform failed: {e}")));
     }
-    if report.should_fail(strict) {
+    Ok(if report.should_fail(o.strict) {
         ExitCode::from(EXIT_DIAG)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// The implicit verification pass before any use of the transform: prints
@@ -491,8 +493,9 @@ fn make_vm(
 }
 
 fn drive(o: &Opts) -> Result<ExitCode, Fail> {
-    let source =
-        std::fs::read_to_string(&o.path).map_err(|e| Fail::Io(format!("{}: {e}", o.path)))?;
+    let source = read_source(&o.path)?;
+    // `--exec-backend` overrides; otherwise DSE_EXEC_BACKEND decides.
+    let backend = o.exec_backend.unwrap_or_else(BackendKind::from_env);
     let cfg = VmConfig {
         inputs_int: o.inputs.clone(),
         ..Default::default()
@@ -606,7 +609,7 @@ fn drive(o: &Opts) -> Result<ExitCode, Fail> {
                 let mut vm = make_vm(
                     &store,
                     &pipeline,
-                    o.backend,
+                    backend,
                     t.parallel.clone(),
                     VmConfig {
                         nthreads: o.threads,
@@ -651,7 +654,7 @@ fn drive(o: &Opts) -> Result<ExitCode, Fail> {
                 obs.finish().map_err(|e| Fail::Other(e.to_string()))?;
                 eprintln!("[trace: {events} events]");
             }
-            other => unreachable!("--emit values validated in parse_opts: {other}"),
+            other => unreachable!("--emit values validated by the flag table: {other}"),
         }
     }
 
@@ -672,7 +675,7 @@ fn drive(o: &Opts) -> Result<ExitCode, Fail> {
         let mut vm = make_vm(
             &store,
             &pipeline,
-            o.backend,
+            backend,
             compiled,
             VmConfig {
                 nthreads: n,
@@ -734,7 +737,7 @@ fn drive(o: &Opts) -> Result<ExitCode, Fail> {
         let metrics = RunMetrics {
             program: o.path.clone(),
             threads: if o.serial { 1 } else { o.threads },
-            opt: opt_name(o.opt).to_string(),
+            opt: o.opt.name().to_string(),
             phases,
             loops: analysis.loop_stats(),
             expansion: transformed
@@ -751,7 +754,7 @@ fn drive(o: &Opts) -> Result<ExitCode, Fail> {
         if dest == "-" {
             std::io::stdout().write_all(text.as_bytes())?;
         } else {
-            std::fs::write(dest, text).map_err(|e| Fail::Io(format!("{dest}: {e}")))?;
+            std::fs::write(dest, text).map_err(|e| Fail::Usage(format!("{dest}: {e}")))?;
         }
     }
 
@@ -773,55 +776,24 @@ fn pipeline_spans(trace: &Trace) -> Vec<dse_telemetry::PipelineSpan> {
 
 /// `dsec profile <file>`: run the transformed program under the
 /// attributing opcode profiler and print the hot-loop table.
-fn profile_main(args: &[String]) -> ExitCode {
-    let mut path = String::new();
-    let mut threads: u32 = 4;
-    let mut opt = OptLevel::Full;
-    let mut inputs: Vec<i64> = Vec::new();
-    let mut explicit_backend: Option<BackendKind> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--opt" => opt = parse_opt_level(it.next().map(String::as_str)),
-            "--in" => inputs = parse_inputs(it.next().unwrap_or_else(|| usage())),
-            "--exec-backend" => {
-                explicit_backend = Some(
-                    it.next()
-                        .and_then(|s| BackendKind::parse(s))
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--help" | "-h" => usage(),
-            other if path.is_empty() && !other.starts_with('-') => path = other.to_string(),
-            _ => usage(),
-        }
-    }
-    if path.is_empty() {
-        usage();
-    }
+fn profile(o: &Opts) -> Result<ExitCode, Fail> {
     // The opcode profiler attributes per stack opcode; the register
     // backend's fused super-instructions would skew the table (DSE009).
     // An explicit request is a usage error; the ambient environment
     // default is overridden with a warning so `DSE_EXEC_BACKEND=reg`
     // sweeps still profile meaningfully.
-    let backend = match explicit_backend {
+    let backend = match o.exec_backend {
         Some(BackendKind::Reg) => {
             eprintln!(
                 "dsec: error[DSE009]: {}",
                 dse_verify::diag::Code::ProfileBackendMismatch.summary()
             );
-            eprintln!(
-                "dsec: hint: fused register super-instructions skew per-opcode \
+            return Err(Fail::Usage(
+                "hint: fused register super-instructions skew per-opcode \
                  attribution; drop `--exec-backend reg` to profile on the stack \
                  (reference) encoding"
-            );
-            return ExitCode::from(EXIT_USAGE);
+                    .into(),
+            ));
         }
         Some(b) => b,
         None => match BackendKind::from_env() {
@@ -835,29 +807,9 @@ fn profile_main(args: &[String]) -> ExitCode {
             b => b,
         },
     };
-    match profile_drive(&path, threads, opt, inputs, backend) {
-        Ok(code) => code,
-        Err(Fail::Io(msg)) => {
-            eprintln!("dsec: {msg}");
-            ExitCode::from(EXIT_USAGE)
-        }
-        Err(Fail::Other(msg)) => {
-            eprintln!("dsec: {msg}");
-            ExitCode::from(EXIT_DIAG)
-        }
-    }
-}
-
-fn profile_drive(
-    path: &str,
-    threads: u32,
-    opt: OptLevel,
-    inputs: Vec<i64>,
-    backend: BackendKind,
-) -> Result<ExitCode, Fail> {
-    let source = std::fs::read_to_string(path).map_err(|e| Fail::Io(format!("{path}: {e}")))?;
+    let source = read_source(&o.path)?;
     let cfg = VmConfig {
-        inputs_int: inputs.clone(),
+        inputs_int: o.inputs.clone(),
         ..Default::default()
     };
     let store = ArtifactStore::new();
@@ -867,9 +819,9 @@ fn profile_drive(
         .analyze(&source, &cfg, &mut trace)
         .map_err(|e| Fail::Other(e.to_string()))?;
     let t = pipeline
-        .transform(&art, opt, threads, false, &mut trace)
+        .transform(&art, o.opt, o.threads, false, &mut trace)
         .map_err(|e| Fail::Other(e.to_string()))?;
-    verify_transform(&store, &art.analysis, &t, path, &mut trace)?;
+    verify_transform(&store, &art.analysis, &t, &o.path, &mut trace)?;
     let prog = &t.transformed.parallel;
     let mut vm = make_vm(
         &store,
@@ -877,8 +829,8 @@ fn profile_drive(
         backend,
         prog.clone(),
         VmConfig {
-            nthreads: threads,
-            inputs_int: inputs,
+            nthreads: o.threads,
+            inputs_int: o.inputs.clone(),
             opcode_profile: true,
             ..Default::default()
         },
@@ -960,31 +912,25 @@ fn render_profile(
 /// flags (`--emit`, `--timing`, `--metrics`) are rejected up front.
 fn daemon_drive(o: &Opts, sock: &str) -> Result<ExitCode, Fail> {
     if !o.emit.is_empty() || o.timing || o.metrics.is_some() {
-        return Err(Fail::Io(
+        return Err(Fail::Usage(
             "--daemon supports plain compile/run requests; \
              use the standalone driver for --emit/--timing/--metrics"
                 .into(),
         ));
     }
-    let source =
-        std::fs::read_to_string(&o.path).map_err(|e| Fail::Io(format!("{}: {e}", o.path)))?;
-    let req = Json::obj(vec![
-        ("id", Json::Str("dsec".into())),
-        (
-            "cmd",
-            Json::Str(if o.run { "run" } else { "compile" }.into()),
-        ),
-        ("source", Json::Str(source)),
-        ("threads", Json::Int(o.threads as i64)),
-        ("opt", Json::Str(opt_name(o.opt).into())),
-        ("baseline", Json::Bool(o.baseline)),
-        ("serial", Json::Bool(o.serial)),
-        ("exec_backend", Json::Str(o.backend.name().into())),
-        (
-            "in",
-            Json::Arr(o.inputs.iter().map(|&n| Json::Int(n)).collect()),
-        ),
-    ]);
+    let source = read_source(&o.path)?;
+    let backend = o.exec_backend.unwrap_or_else(BackendKind::from_env);
+    let req = daemon_json(
+        "dsec",
+        if o.run { "run" } else { "compile" },
+        o,
+        source,
+        vec![
+            ("baseline", Json::Bool(o.baseline)),
+            ("serial", Json::Bool(o.serial)),
+            ("exec_backend", Json::Str(backend.name().into())),
+        ],
+    );
     let resp = daemon_request(sock, &req)?;
     for d in diagnostics_of(&resp) {
         eprintln!("dsec: {d}");
@@ -1010,21 +956,39 @@ fn daemon_drive(o: &Opts, sock: &str) -> Result<ExitCode, Fail> {
     Ok(exit_of(&resp))
 }
 
+/// A daemon request carrying the options every subcommand shares, plus
+/// `extra` fields.
+fn daemon_json(id: &str, cmd: &str, o: &Opts, source: String, extra: Vec<(&str, Json)>) -> Json {
+    let mut pairs = vec![
+        ("id", Json::Str(id.into())),
+        ("cmd", Json::Str(cmd.into())),
+        ("source", Json::Str(source)),
+        ("threads", Json::Int(o.threads as i64)),
+        ("opt", Json::Str(o.opt.name().into())),
+        (
+            "in",
+            Json::Arr(o.inputs.iter().map(|&n| Json::Int(n)).collect()),
+        ),
+    ];
+    pairs.extend(extra);
+    Json::obj(pairs)
+}
+
 /// One request/response round trip over the daemon's unix socket.
 fn daemon_request(sock: &str, req: &Json) -> Result<Json, Fail> {
     use std::io::{BufRead, BufReader};
     let mut stream = std::os::unix::net::UnixStream::connect(sock)
-        .map_err(|e| Fail::Io(format!("{sock}: {e}")))?;
+        .map_err(|e| Fail::Usage(format!("{sock}: {e}")))?;
     let mut line = req.to_string();
     line.push('\n');
     stream
         .write_all(line.as_bytes())
-        .map_err(|e| Fail::Io(format!("{sock}: {e}")))?;
+        .map_err(|e| Fail::Usage(format!("{sock}: {e}")))?;
     let mut reader = BufReader::new(stream);
     let mut resp = String::new();
     reader
         .read_line(&mut resp)
-        .map_err(|e| Fail::Io(format!("{sock}: {e}")))?;
+        .map_err(|e| Fail::Usage(format!("{sock}: {e}")))?;
     if resp.trim().is_empty() {
         return Err(Fail::Other(
             "daemon closed the connection without a response".into(),
@@ -1052,6 +1016,6 @@ fn exit_of(resp: &Json) -> ExitCode {
 
 impl From<std::io::Error> for Fail {
     fn from(e: std::io::Error) -> Fail {
-        Fail::Io(e.to_string())
+        Fail::Usage(e.to_string())
     }
 }

@@ -62,6 +62,17 @@ fn usage_and_io_errors_exit_two() {
     assert_eq!(code, 2, "check on unreadable input is an I/O error");
     let (code, _, _) = dsec(&["check"]);
     assert_eq!(code, 2, "check without a file is a usage error");
+    // Zero threads is a usage error in every subcommand, before any work.
+    let f = fixture("doacross_sum.cee");
+    for args in [
+        &[f.as_str(), "--run", "--threads", "0"][..],
+        &["profile", &f, "--threads", "0"],
+        &["check", &f, "--threads", "0"],
+    ] {
+        let (code, _, stderr) = dsec(args);
+        assert_eq!(code, 2, "{args:?} is a usage error");
+        assert!(stderr.contains("--threads"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
